@@ -8,16 +8,11 @@
 #include "batched/interleave.hpp"
 #include "common/error.hpp"
 #include "common/lapack.hpp"
+#include "common/simd.hpp"
 
 // GCC will not vectorize the accumulate loops of gemm_right_inplace on its
 // own (the accumulator arrays defeat its cost model); the explicit simd
-// pragma is worth ~5x there. Spelled with _Pragma so it can sit inside the
-// loop nest macros-free.
-#if defined(_OPENMP)
-#define HODLRX_OMP_SIMD _Pragma("omp simd")
-#else
-#define HODLRX_OMP_SIMD
-#endif
+// pragma (HODLRX_OMP_SIMD) is worth ~5x there.
 
 namespace hodlrx {
 

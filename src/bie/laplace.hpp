@@ -19,38 +19,45 @@
 namespace hodlrx::bie {
 
 /// Dense-free generator of the discretized operator; T is float or double.
+///
+/// Entry (i, j) is  w_j (d(x_i, x_j) - c_i)  off the diagonal, with the
+/// completion term c_i = log|x_i - z| / 2pi depending on the row only, and
+/// 1/2 + w_i (-kappa_i / 4pi - c_i) on it. The constructor caches c_i, the
+/// diagonal and structure-of-arrays copies of the nodes and normals, so the
+/// bulk fills are branch-free loops over contiguous arrays with no
+/// transcendental per entry. entry() and every fill evaluate the same
+/// expressions on the same cached terms, so they agree bitwise.
 template <typename T>
 class LaplaceExteriorBIE final : public MatrixGenerator<T> {
  public:
-  LaplaceExteriorBIE(ContourDiscretization disc, Point2 z = {0.0, 0.0})
-      : disc_(std::move(disc)), z_(z) {}
+  LaplaceExteriorBIE(ContourDiscretization disc, Point2 z = {0.0, 0.0});
 
   index_t rows() const override { return disc_.n; }
   index_t cols() const override { return disc_.n; }
 
   T entry(index_t i, index_t j) const override {
-    constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
-    double kernel;
-    if (i == j) {
-      kernel = -disc_.kappa[i] / (2.0 * kTwoPi);  // -kappa/(4 pi)
-    } else {
-      const double dx = disc_.x[i].x - disc_.x[j].x;
-      const double dy = disc_.x[i].y - disc_.x[j].y;
-      const double r2 = dx * dx + dy * dy;
-      kernel = (disc_.nrm[j].x * dx + disc_.nrm[j].y * dy) / (kTwoPi * r2);
-    }
-    kernel -= std::log(dist(disc_.x[i], z_)) / kTwoPi;  // completion term
-    double a = disc_.weight[j] * kernel;
-    if (i == j) a += 0.5;
-    return static_cast<T>(a);
+    if (i == j) return diag_[i];
+    const double dx = x_[i] - x_[j];
+    const double dy = y_[i] - y_[j];
+    const double r2 = dx * dx + dy * dy;
+    const double kernel = (nx_[j] * dx + ny_[j] * dy) / (kTwoPi * r2) - c_[i];
+    return static_cast<T>(disc_.weight[j] * kernel);
   }
+  void fill_row(index_t i, index_t j0, index_t j1, T* out) const override;
+  void fill_col(index_t j, index_t i0, index_t i1, T* out) const override;
 
   const ContourDiscretization& discretization() const { return disc_; }
   Point2 completion_point() const { return z_; }
 
  private:
+  static constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
+
   ContourDiscretization disc_;
   Point2 z_;
+  std::vector<double> x_, y_;    ///< node coordinates (SoA)
+  std::vector<double> nx_, ny_;  ///< outward normals (SoA)
+  std::vector<double> c_;        ///< completion term log|x_i - z| / 2pi
+  std::vector<T> diag_;          ///< the diagonal entries
 };
 
 /// Evaluate the representation u(x) = int (d(x,y) - log|x-z|/2pi) sigma ds

@@ -27,6 +27,8 @@ struct AcaResult {
   /// tolerance or the rank cap was reached. The factor still holds the
   /// achieved-rank approximation; stalled implies !converged.
   bool stalled = false;
+  /// ||U V^H||_F as tracked by the stopping test (exact up to rounding).
+  real_t<T> frob_norm = 0;
 };
 
 /// Compress the sub-block [row0, row0+m) x [col0, col0+n) of `g`.

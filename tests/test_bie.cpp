@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "bie/helmholtz.hpp"
 #include "bie/laplace.hpp"
 #include "core/factorization.hpp"
@@ -191,6 +193,100 @@ TEST(LaplaceBie, HodlrSolveMatchesDense) {
   // Residual vs the true (uncompressed) operator.
   Matrix<double> a = materialize(gen);
   EXPECT_LE(test::dense_relres<double>(a, x, b), 1e-7);
+}
+
+/// The generator's original per-entry formula (one hypot + log per entry),
+/// kept verbatim: the bulk fills must reproduce it bit for bit.
+template <typename T>
+[[gnu::noinline]] T laplace_entry_oracle(const ContourDiscretization& disc,
+                                         Point2 z, index_t i, index_t j) {
+  constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
+  double kernel;
+  if (i == j) {
+    kernel = -disc.kappa[i] / (2.0 * kTwoPi);  // -kappa/(4 pi)
+  } else {
+    const double dx = disc.x[i].x - disc.x[j].x;
+    const double dy = disc.x[i].y - disc.x[j].y;
+    const double r2 = dx * dx + dy * dy;
+    kernel = (disc.nrm[j].x * dx + disc.nrm[j].y * dy) / (kTwoPi * r2);
+  }
+  kernel -= std::log(bie::dist(disc.x[i], z)) / kTwoPi;  // completion term
+  double a = disc.weight[j] * kernel;
+  if (i == j) a += 0.5;
+  return static_cast<T>(a);
+}
+
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename T>
+void expect_generator_matches_oracle(const bie::Contour& contour, index_t n,
+                                     Point2 z) {
+  const ContourDiscretization d = bie::discretize(contour, n);
+  const bie::LaplaceExteriorBIE<T> gen(d, z);
+  auto oracle = [&](index_t i, index_t j) {
+    return laplace_entry_oracle<T>(d, z, i, j);
+  };
+
+  index_t bad = 0;
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i)
+      bad += !same_bits(gen.entry(i, j), oracle(i, j));
+  EXPECT_EQ(bad, 0) << "entry() differs from the per-entry formula";
+
+  // [lo, hi) ranges: whole, containing the diagonal index, missing it,
+  // ending right before / starting right at it, length 1, and empty.
+  const index_t k = n / 3;
+  const std::vector<std::pair<index_t, index_t>> ranges = {
+      {0, n},     {k - 5, k + 7}, {k + 1, n}, {0, k},  {k, k + 1},
+      {k + 1, k + 2}, {k, k},     {0, 0},     {n, n},  {n - 1, n}};
+  std::vector<T> buf(static_cast<std::size_t>(n));
+  for (auto [lo, hi] : ranges) {
+    bad = 0;
+    gen.fill_row(k, lo, hi, buf.data());
+    for (index_t j = lo; j < hi; ++j)
+      bad += !same_bits(buf[j - lo], oracle(k, j));
+    EXPECT_EQ(bad, 0) << "fill_row(" << k << ", " << lo << ", " << hi << ")";
+    bad = 0;
+    gen.fill_col(k, lo, hi, buf.data());
+    for (index_t i = lo; i < hi; ++i)
+      bad += !same_bits(buf[i - lo], oracle(i, k));
+    EXPECT_EQ(bad, 0) << "fill_col(" << k << ", " << lo << ", " << hi << ")";
+  }
+
+  // Blocks: on the diagonal, off it, straddling it, a single entry, empty.
+  struct Blk {
+    index_t i0, j0, m, nc;
+  };
+  for (Blk b : {Blk{0, 0, n, n}, Blk{k, k, 17, 9}, Blk{0, n / 2, n / 2, n / 2},
+                Blk{k - 4, k + 2, 11, 5}, Blk{k, k, 1, 1}, Blk{k, k + 1, 1, 1},
+                Blk{k, k, 0, 3}, Blk{k, k, 3, 0}}) {
+    Matrix<T> blk(b.m, b.nc);
+    gen.fill_block(b.i0, b.j0, blk.view());
+    bad = 0;
+    for (index_t j = 0; j < b.nc; ++j)
+      for (index_t i = 0; i < b.m; ++i)
+        bad += !same_bits(blk(i, j), oracle(b.i0 + i, b.j0 + j));
+    EXPECT_EQ(bad, 0) << "fill_block(" << b.i0 << ", " << b.j0 << ") "
+                      << b.m << "x" << b.nc;
+  }
+}
+
+template <typename T>
+class LaplaceGeneratorTyped : public ::testing::Test {};
+using LaplaceGeneratorTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(LaplaceGeneratorTyped, LaplaceGeneratorTypes);
+
+TYPED_TEST(LaplaceGeneratorTyped, BulkFillsMatchPerEntryFormulaOnBlob) {
+  expect_generator_matches_oracle<TypeParam>(BlobContour(), 301,
+                                             {0.35, -0.2});
+}
+
+TYPED_TEST(LaplaceGeneratorTyped, BulkFillsMatchPerEntryFormulaOnCircle) {
+  expect_generator_matches_oracle<TypeParam>(CircleContour(1.5), 256,
+                                             {0.0, 0.0});
 }
 
 TEST(HelmholtzBie, ExactSolutionModerateFrequency) {

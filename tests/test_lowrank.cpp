@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "batched/batched_blas.hpp"
+#include "bie/laplace.hpp"
 #include "common/gemm_kernel.hpp"
 #include "core/hodlr.hpp"
 #include "lowrank/aca.hpp"
@@ -48,6 +49,68 @@ TYPED_TEST(LowrankTyped, AcaExactRankMatrix) {
   EXPECT_TRUE(res.converged);
   EXPECT_LE(res.factor.rank(), r + 2);
   EXPECT_LE(rel_error(res.factor.reconstruct(), a), 1e-10);
+}
+
+// ACA's stopping test sums its norms and cross terms across SIMD lanes
+// (split real/imaginary accumulators for complex types); these cover every
+// scalar type with vector lengths that leave partial lanes.
+template <typename T>
+class AcaAllTypes : public ::testing::Test {};
+using AcaScalarTypes = ::testing::Types<float, double, std::complex<float>,
+                                        std::complex<double>>;
+TYPED_TEST_SUITE(AcaAllTypes, AcaScalarTypes);
+
+template <typename T>
+double aca_test_tol() {
+  return std::is_same_v<real_t<T>, float> ? 1e-5 : 1e-12;
+}
+
+TYPED_TEST(AcaAllTypes, ExactRankBlockGivesThatRank) {
+  using T = TypeParam;
+  const index_t m = 301, n = 263, r = 5;
+  Matrix<T> u = random_matrix<T>(m, r, 31);
+  Matrix<T> v = random_matrix<T>(n, r, 32);
+  Matrix<T> a(m, n);
+  gemm<T>(Op::N, Op::C, T{1}, u, v, T{0}, a.view());
+  DenseGenerator<T> g(to_matrix(a.view()));
+  AcaOptions opt;
+  opt.tol = aca_test_tol<T>();
+  AcaResult<T> res = aca<T>(g, 0, 0, m, n, opt);
+  EXPECT_TRUE(res.converged);
+  // The stopping test judges a cross after adding it, so the cross that
+  // proves the residual is at roundoff level may be kept: r or r + 1.
+  EXPECT_GE(res.factor.rank(), r);
+  EXPECT_LE(res.factor.rank(), r + 1);
+  const Matrix<T> rec = res.factor.reconstruct();
+  EXPECT_LE(rel_error(rec, a), 100 * opt.tol);
+  // The running norm (lane-split sums of ||u||^2, ||v||^2 and the cross
+  // terms) must track the norm of the approximation it describes.
+  const real_t<T> rec_norm = norm_fro(rec);
+  EXPECT_NEAR(res.frob_norm, rec_norm, 1e3 * eps_v<T> * rec_norm);
+}
+
+template <typename T>
+class AcaLaplace : public ::testing::Test {};
+using AcaLaplaceTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(AcaLaplace, AcaLaplaceTypes);
+
+TYPED_TEST(AcaLaplace, LevelOneBlockMeetsTolerance) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  const index_t n = 4096, h = n / 2;
+  bie::LaplaceExteriorBIE<T> gen(bie::discretize(bie::BlobContour(), n),
+                                 {0.35, -0.2});
+  AcaOptions opt;
+  opt.tol = aca_test_tol<T>();
+  AcaResult<T> res = aca<T>(gen, 0, h, h, h, opt);
+  EXPECT_TRUE(res.converged);
+  Matrix<T> blk(h, h);
+  gen.fill_block(0, h, blk.view());
+  const R blk_norm = norm_fro(blk);
+  Matrix<T> err = res.factor.reconstruct();
+  axpy(T{-1}, ConstMatrixView<T>(blk), err.view());
+  EXPECT_LE(norm_fro(err), R(10 * opt.tol) * blk_norm)
+      << "rank " << res.factor.rank();
 }
 
 TEST(Aca, ZeroBlockGivesRankZero) {
