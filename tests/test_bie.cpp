@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "bie/helmholtz.hpp"
 #include "bie/laplace.hpp"
 #include "core/factorization.hpp"
@@ -15,6 +13,7 @@ using bie::CircleContour;
 using bie::ContourDiscretization;
 using bie::Point2;
 using test::rel_error;
+using test::same_bits;
 
 TEST(Contour, CircleGeometry) {
   CircleContour c(2.0);
@@ -214,11 +213,6 @@ template <typename T>
   double a = disc.weight[j] * kernel;
   if (i == j) a += 0.5;
   return static_cast<T>(a);
-}
-
-template <typename T>
-bool same_bits(T a, T b) {
-  return std::memcmp(&a, &b, sizeof(T)) == 0;
 }
 
 template <typename T>

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "batched/batched_blas.hpp"
 #include "bie/laplace.hpp"
 #include "core/factorization.hpp"
@@ -14,6 +12,7 @@ namespace hodlrx {
 namespace {
 
 using test::rel_error;
+using test::same_bits;
 
 template <typename T>
 class HodlrTyped : public ::testing::Test {};
@@ -183,13 +182,6 @@ class EntryOnlyGenerator final : public MatrixGenerator<T> {
  private:
   const MatrixGenerator<T>& g_;
 };
-
-template <typename T>
-bool same_bits(const Matrix<T>& a, const Matrix<T>& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         (a.size() == 0 ||
-          std::memcmp(a.data(), b.data(), sizeof(T) * a.size()) == 0);
-}
 
 /// The Laplace generator's bulk row/column fills only change speed: an ACA
 /// build through them and one through per-entry calls produce the same

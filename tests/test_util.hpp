@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
 
 #include "common/blas.hpp"
 #include "common/matrix.hpp"
@@ -59,6 +60,21 @@ real_t<T> dense_relres(ConstMatrixView<T> a, ConstMatrixView<T> x,
   Matrix<T> r = to_matrix(b);
   gemm(Op::N, Op::N, T{-1}, a, x, T{1}, r.view());
   return norm_fro(r) / norm_fro(b);
+}
+
+/// Bitwise equality of two scalars (distinguishes -0 from +0, equates NaNs
+/// with the same payload).
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Bitwise equality of two matrices of the same shape.
+template <typename T>
+bool same_bits(const Matrix<T>& a, const Matrix<T>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), sizeof(T) * a.size()) == 0);
 }
 
 }  // namespace hodlrx::test
