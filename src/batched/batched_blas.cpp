@@ -14,7 +14,6 @@
 #include "common/parallel.hpp"
 #include "common/trsm_kernel.hpp"
 #include "common/workspace.hpp"
-#include "device/backend.hpp"
 #include "device/device.hpp"
 
 namespace hodlrx {
@@ -90,18 +89,6 @@ void gemm_strided_batched(Op opa, Op opb, index_t m, index_t n, index_t k,
                           T* c, index_t ldc, index_t stride_c, index_t batch,
                           BatchPolicy policy) {
   if (batch == 0 || m == 0 || n == 0) return;
-  // Backend dispatch: with an async stream bound, the launch enqueues and
-  // returns; the body re-enters this function on a drain worker (where the
-  // in-stream-task flag forces the inline path below). Pointer+stride
-  // arguments are PODs, so a by-value capture snapshots the launch.
-  if (Stream* strm = deferring_stream()) {
-    strm->launch("gemm_strided_batched", [=] {
-      gemm_strided_batched<T>(opa, opb, m, n, k, alpha, a, lda, stride_a, b,
-                              ldb, stride_b, beta, c, ldc, stride_c, batch,
-                              policy);
-    });
-    return;
-  }
   DeviceContext::global().record_launch();
   const index_t ar = (opa == Op::N) ? m : k, ac = (opa == Op::N) ? k : m;
   const index_t br = (opb == Op::N) ? k : n, bc = (opb == Op::N) ? n : k;
@@ -241,19 +228,6 @@ void trsm_batched(Uplo uplo, Diag diag, std::span<const ConstMatrixView<T>> a,
   HODLRX_REQUIRE(a.size() == b.size(), "trsm_batched: batch mismatch");
   const index_t batch = static_cast<index_t>(b.size());
   if (batch == 0) return;
-  // Backend dispatch: the span storage may not outlive the call, so the
-  // deferred launch owns copies of the views (the coefficient memory they
-  // point at is the caller's device memory, live until synchronization).
-  if (Stream* strm = deferring_stream()) {
-    std::vector<ConstMatrixView<T>> av(a.begin(), a.end());
-    std::vector<MatrixView<T>> bv(b.begin(), b.end());
-    strm->launch("trsm_batched", [uplo, diag, av = std::move(av),
-                                  bv = std::move(bv), policy] {
-      trsm_batched<T>(uplo, diag, std::span<const ConstMatrixView<T>>(av),
-                      std::span<const MatrixView<T>>(bv), policy);
-    });
-    return;
-  }
   DeviceContext::global().record_launch();
   index_t total_work = 0;
   for (index_t i = 0; i < batch; ++i)
@@ -414,13 +388,6 @@ void geqrf_strided_batched(T* a, index_t lda, index_t stride_a, index_t m,
   HODLRX_REQUIRE(lda >= m && stride_tau >= kmax &&
                      (batch == 1 || stride_a > 0),
                  "geqrf_strided_batched: bad layout");
-  if (Stream* strm = deferring_stream()) {
-    strm->launch("geqrf_strided_batched", [=] {
-      geqrf_strided_batched<T>(a, lda, stride_a, m, n, tau, stride_tau, batch,
-                               policy);
-    });
-    return;
-  }
   DeviceContext::global().record_launch();
   const index_t work = 2 * m * n * kmax;
   if (use_stream_mode(policy, batch, batch * work)) {
@@ -506,13 +473,6 @@ void thin_q_strided_batched(T* a, index_t lda, index_t stride_a, index_t m,
   HODLRX_REQUIRE(lda >= m && stride_tau >= kq &&
                      (batch == 1 || stride_a > 0),
                  "thin_q_strided_batched: bad layout");
-  if (Stream* strm = deferring_stream()) {
-    strm->launch("thin_q_strided_batched", [=] {
-      thin_q_strided_batched<T>(a, lda, stride_a, m, n, tau, stride_tau,
-                                batch, policy);
-    });
-    return;
-  }
   DeviceContext::global().record_launch();
   const index_t work = 2 * m * kq * kq;
   if (use_stream_mode(policy, batch, batch * work)) {
@@ -567,11 +527,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
                      (batch == 1 || (stride_a > 0 && stride_v > 0)),
                  "jacobi_svd_strided_batched: bad layout (need tall m >= n;"
                  " pass a^H for wide blocks)");
-  // The SVD returns host-readable convergence info, so it is a
-  // stream-SYNCHRONIZING operation (the cusolver info-query shape): work
-  // queued ahead of it on the bound stream completes first, then the
-  // decomposition itself runs inline on the caller.
-  if (Stream* strm = deferring_stream()) strm->synchronize();
   DeviceContext::global().record_launch();
   const index_t work = 2 * m * n * n;
   if (use_stream_mode(policy, batch, batch * work)) {

@@ -39,7 +39,6 @@ enum class Site : int {
   kSvdSweeps,       ///< "svd.sweeps": batched Jacobi sweep budget forced to 1
   kAcaStall,        ///< "aca.stall": aca() stalls after two crosses
   kWorkspaceAlloc,  ///< "workspace.alloc": WorkspaceArena growth throws once
-  kDeviceAlloc,     ///< "device.alloc": Backend::allocate throws once
   kNumSites,
 };
 
@@ -51,8 +50,16 @@ const char* site_name(Site site);
 /// on occurrence == nth only, so exactly ONE check fires per
 /// fault_stats::reset(). A firing check is counted in
 /// fault_stats::injected(). Unarmed sites are free: one getenv, no counter
-/// traffic.
+/// traffic. Throws hodlrx::Error (see check_spec) when HODLRX_FAULT holds a
+/// token that names no site.
 bool should_fire(Site site);
+
+/// Throw hodlrx::Error naming the offending token and the valid site names
+/// when any HODLRX_FAULT token names no site (a typo such as `aca.stal`
+/// would otherwise arm nothing and a fault run would pass untested). The
+/// recovery ladders call this before treating a caught Error as a
+/// breakdown, so a bad spec is never healed as if it were one.
+void check_spec();
 
 }  // namespace fault
 

@@ -9,7 +9,6 @@
 #include "common/annotations.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "device/backend.hpp"
 
 namespace hodlrx {
 
@@ -139,12 +138,6 @@ void TaskGraph::run() {
   // Error while the data is still untouched, not after a racy run.
   if (auditor_) auditor_->verify();
 
-  // Asynchronous backend: issue the DAG onto streams with event edges and
-  // drain once. Falls through on cycles (so the pool path below keeps the
-  // canonical cycle diagnostics) and inside parallel regions (a nested
-  // drain would run inline anyway — the direct path is simpler there).
-  if (backend().asynchronous() && !in_parallel() && run_on_streams()) return;
-
   GraphRun st;
   st.indeg.reset(new std::atomic<index_t>[static_cast<std::size_t>(n)]);
   for (index_t i = 0; i < n; ++i)
@@ -247,86 +240,6 @@ void TaskGraph::run() {
   sched_stats::g_steals.fetch_add(steals, std::memory_order_relaxed);
   sched_stats::record_max_ready(max_ready);
   if (error) std::rethrow_exception(error);
-}
-
-bool TaskGraph::run_on_streams() {
-  const index_t n = size();
-  // Kahn topological order. Incomplete order = cycle: FIFO queues cannot
-  // express it, so decline and let the pool path handle (and report) it.
-  std::vector<index_t> indeg(static_cast<std::size_t>(n));
-  std::vector<NodeId> order;
-  order.reserve(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) {
-    indeg[static_cast<std::size_t>(i)] =
-        nodes_[static_cast<std::size_t>(i)].indegree;
-    if (indeg[static_cast<std::size_t>(i)] == 0) order.push_back(i);
-  }
-  const std::uint64_t sources = static_cast<std::uint64_t>(order.size());
-  for (std::size_t qi = 0; qi < order.size(); ++qi)
-    for (const NodeId s : nodes_[static_cast<std::size_t>(order[qi])].out)
-      if (--indeg[static_cast<std::size_t>(s)] == 0) order.push_back(s);
-  if (static_cast<index_t>(order.size()) != n) return false;
-
-  Backend& b = backend();
-  const index_t nstreams = std::min<index_t>(max_threads(), n);
-  // Predecessor lists (built from the stored successor lists) drive the
-  // wait edges; stream slots round-robin over topological position, so
-  // independent nodes land on different queues and chains tend to share one.
-  std::vector<std::vector<NodeId>> preds(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i)
-    for (const NodeId s : nodes_[static_cast<std::size_t>(i)].out)
-      preds[static_cast<std::size_t>(s)].push_back(i);
-  std::vector<index_t> sid(static_cast<std::size_t>(n));
-  for (std::size_t pos = 0; pos < order.size(); ++pos)
-    sid[static_cast<std::size_t>(order[pos])] =
-        static_cast<index_t>(pos) % nstreams;
-
-  std::atomic<index_t> done{0};
-  std::exception_ptr error;
-  {
-    std::vector<std::unique_ptr<Stream>> streams;
-    streams.reserve(static_cast<std::size_t>(nstreams));
-    for (index_t s = 0; s < nstreams; ++s)
-      streams.push_back(std::make_unique<Stream>(b));
-    std::vector<Event> ev(static_cast<std::size_t>(n));
-    for (const NodeId id : order) {
-      Stream& st = *streams[static_cast<std::size_t>(sid[
-          static_cast<std::size_t>(id)])];
-      // Same-stream predecessors are ordered by the FIFO queue itself (they
-      // were enqueued earlier in topological order); only cross-stream
-      // dependencies need an event edge.
-      for (const NodeId p : preds[static_cast<std::size_t>(id)])
-        if (sid[static_cast<std::size_t>(p)] !=
-            sid[static_cast<std::size_t>(id)])
-          st.wait(ev[static_cast<std::size_t>(p)]);
-      st.launch("task-graph-node", [this, id, &done] {
-        nodes_[static_cast<std::size_t>(id)].fn();
-        done.fetch_add(1, std::memory_order_relaxed);
-      });
-      bool crosses = false;
-      for (const NodeId s : nodes_[static_cast<std::size_t>(id)].out)
-        if (sid[static_cast<std::size_t>(s)] !=
-            sid[static_cast<std::size_t>(id)]) {
-          crosses = true;
-          break;
-        }
-      if (crosses) st.record(ev[static_cast<std::size_t>(id)]);
-    }
-    try {
-      b.synchronize();  // ONE drain: the launch the warm-pool tests count
-    } catch (...) {
-      error = std::current_exception();
-    }
-  }  // stream destructors find empty queues — no second drain
-  sched_stats::g_graphs.fetch_add(1, std::memory_order_relaxed);
-  sched_stats::g_nodes.fetch_add(
-      static_cast<std::uint64_t>(done.load(std::memory_order_relaxed)),
-      std::memory_order_relaxed);
-  sched_stats::g_edges.fetch_add(static_cast<std::uint64_t>(num_edges_),
-                                 std::memory_order_relaxed);
-  sched_stats::record_max_ready(sources);
-  if (error) std::rethrow_exception(error);
-  return true;
 }
 
 }  // namespace hodlrx

@@ -136,23 +136,9 @@ class TaskGraph {
 
   /// Execute the graph on the thread pool and wait for completion; rethrows
   /// the first node exception. Callable exactly once.
-  ///
-  /// When the active device backend is asynchronous (HODLRX_BACKEND=
-  /// host-async), acyclic graphs are lowered onto backend streams instead:
-  /// nodes issue as stream launches in topological order, each dependency
-  /// crossing streams becomes a record/wait event edge, and one synchronize
-  /// drains everything through a single pool launch — the same
-  /// one-launch-per-run warm-pool cost as the direct path. Semantics
-  /// (ordering, failure drain + rethrow, cycle Error, sched_stats) are
-  /// identical either way.
   void run();
 
  private:
-  /// The stream lowering behind run(); false when the graph cannot be
-  /// topologically ordered (a cycle), in which case run() falls back to the
-  /// pool path, which executes the reachable work and raises the canonical
-  /// cycle Error.
-  bool run_on_streams();
   struct Node {
     std::function<void()> fn;
     std::vector<NodeId> out;  ///< successors

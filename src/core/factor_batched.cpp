@@ -151,6 +151,7 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
         try {
           getrf_nopivot_batched<T>(kb, policy);
         } catch (const Error& e) {
+          fault::check_spec();  // a bad HODLRX_FAULT spec is no breakdown
           if (report != nullptr) {
             ++report->lu_breakdowns;
             report->events.push_back(
@@ -281,12 +282,6 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
 /// comes from the graph). W workspaces are per-level slices of one buffer —
 /// lifetimes are per-node, not per-level-sweep, because two levels' W/Ksolve
 /// stages may be in flight at once.
-///
-/// Under an asynchronous device backend (HODLRX_BACKEND=host-async) the
-/// gph.run() below issues this same DAG onto backend streams: nodes become
-/// stream launches, cross-stream chunk dependencies become record/wait event
-/// edges, and one synchronize drains the factorization — see
-/// TaskGraph::run_on_streams (docs/device-backend.md).
 template <typename T>
 void FactorEngine<T>::run_factor_batched_graph(F& f, FactorReport* report) {
   const ClusterTree& tree = f.tree_;
@@ -492,6 +487,7 @@ void FactorEngine<T>::run_factor_batched_graph(F& f, FactorReport* report) {
           try {
             getrf_nopivot_batched<T>(kb, policy);
           } catch (const Error& e) {
+            fault::check_spec();  // a bad HODLRX_FAULT spec is no breakdown
             if (report != nullptr) {
               MutexLock lk(rec_mu);
               ++report->lu_breakdowns;

@@ -76,6 +76,7 @@ void FactorEngine<T>::run_factor_serial(F& f, FactorReport* report) {
           try {
             getrf_nopivot(kk);
           } catch (const Error& e) {
+            fault::check_spec();  // a bad HODLRX_FAULT spec is no breakdown
             if (report != nullptr) {
               ++report->lu_breakdowns;
               report->events.push_back(

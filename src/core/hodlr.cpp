@@ -9,7 +9,6 @@
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "common/task_graph.hpp"
-#include "device/backend.hpp"
 #include "device/device.hpp"
 #include "lowrank/aca.hpp"
 #include "lowrank/recompress.hpp"
@@ -500,114 +499,6 @@ HodlrMatrix<T> build_from_generator_rsvd_graph(const MatrixGenerator<T>& g,
   return std::move(h);
 }
 
-/// Stream-issued twin of build_from_generator_rsvd for asynchronous
-/// backends. Each uniform side's tiles are filled on the host pool, then the
-/// side's whole batched-rsvd compression is LAUNCHED onto one of two
-/// alternating streams and the builder moves straight on to the next side —
-/// so when a drain runs, the two streams' queued compressions execute
-/// concurrently (level L+1's compression overlaps level L's drain) instead
-/// of serializing at a level barrier. The workspace is double-buffered like
-/// the graph build: an Event recorded after side k's compression gates the
-/// refill of its slot by side k+2 — the ws-recycle edge of the graph build,
-/// expressed as a stream event. Workspace lives in DeviceBuffers (real
-/// backend-owned memory), so an allocation failure takes the device.alloc
-/// drain-and-retry recovery rung.
-template <typename T>
-HodlrMatrix<T> build_from_generator_rsvd_async(const MatrixGenerator<T>& g,
-                                               const ClusterTree& tree,
-                                               const BuildOptions& opt,
-                                               HodlrMatrix<T>&& h,
-                                               FactorReport* report) {
-  const RsvdOptions base = rsvd_options(opt);
-  const std::vector<SweepSide> sides = collect_uniform_sides(tree);
-  std::vector<RsvdBreakdowns> bds(sides.size() + 1);
-  // Deferred compressions write their factors here (one slot per side, no
-  // sharing); the factors are moved into h only after the streams drain.
-  std::vector<std::vector<LowRankFactor<T>>> results(sides.size());
-
-  std::size_t slot_need[2] = {0, 0};
-  for (std::size_t k = 0; k < sides.size(); ++k)
-    slot_need[k % 2] =
-        std::max(slot_need[k % 2], static_cast<std::size_t>(sides[k].q) *
-                                       sides[k].s * sides[k].s);
-  DeviceBuffer ws[2];
-  for (int slot = 0; slot < 2; ++slot)
-    if (slot_need[slot] > 0) ws[slot] = DeviceBuffer(slot_need[slot] * sizeof(T));
-
-  {
-    Stream streams[2];
-    std::vector<Event> done(sides.size());
-    for (std::size_t k = 0; k < sides.size(); ++k) {
-      const SweepSide side = sides[k];
-      T* wdata = ws[k % 2].template as<T>();
-      const std::size_t need =
-          static_cast<std::size_t>(side.q) * side.s * side.s;
-      // Slot recycle gate: the side-before-last compressed out of this slot;
-      // its event must complete before the slot is overwritten. The
-      // synchronize drains BOTH streams' queues up to that point (the
-      // calling thread helps), which is where the queued compressions
-      // actually overlap.
-      if (k >= 2) done[k - 2].synchronize();
-      parallel_for(side.q, [&](index_t j) {
-        const index_t b0 = tree.node(side.begin).begin;
-        const index_t row0 = b0 + 2 * j * side.s + (side.upper ? 0 : side.s);
-        const index_t col0 = b0 + 2 * j * side.s + (side.upper ? side.s : 0);
-        g.fill_block(row0, col0,
-                     MatrixView<T>{wdata + j * side.s * side.s, side.s,
-                                   side.s, side.s});
-      });
-      DeviceContext::global().record_h2d(need * sizeof(T));
-      streams[k % 2].launch("compress-side", [&, side, k, wdata] {
-        RsvdOptions ropt = base;
-        ropt.on_breakdown = opt.on_breakdown;
-        ropt.breakdowns = &bds[k];
-        ropt.seed = opt.seed + 2 * side.level + (side.upper ? 0 : 1);
-        results[k] = rsvd_strided_batched<T>(wdata, side.s, side.s * side.s,
-                                             side.s, side.s, side.q, ropt);
-      });
-      streams[k % 2].record(done[k]);
-    }
-    streams[0].synchronize();
-    streams[1].synchronize();
-    for (std::size_t k = 0; k < sides.size(); ++k)
-      store_side_factors<T>(h, sides[k], std::move(results[k]));
-  }
-
-  RsvdOptions ropt = base;
-  ropt.on_breakdown = opt.on_breakdown;
-  ropt.breakdowns = &bds[sides.size()];
-  for (index_t level = 1; level <= tree.depth(); ++level) {
-    if (uniform_level_size(tree, level) > 0) continue;
-    const index_t begin = ClusterTree::level_begin(level);
-    const index_t count = ClusterTree::nodes_at_level(level);
-    ropt.seed = opt.seed + 2 * level;
-    parallel_for(count, [&](index_t t) {
-      const index_t nu = begin + t;
-      const index_t sib = ClusterTree::sibling(nu);
-      const ClusterNode& rowc = tree.node(nu);
-      const ClusterNode& colc = tree.node(sib);
-      Matrix<T> block(rowc.size(), colc.size());
-      g.fill_block(rowc.begin, colc.begin, block);
-      LowRankFactor<T> f = rsvd<T>(block.view(), ropt);
-      h.u(nu) = std::move(f.u);
-      h.v(sib) = std::move(f.v);
-    });
-  }
-  parallel_for(tree.num_leaves(), [&](index_t j) {
-    const ClusterNode& c = tree.node(tree.leaf(j));
-    h.leaf_block(j) = Matrix<T>(c.size(), c.size());
-    g.fill_block(c.begin, c.begin, h.leaf_block(j));
-  });
-  RsvdBreakdowns bd;
-  for (const RsvdBreakdowns& b : bds) {
-    bd.svd_nonconverged += b.svd_nonconverged;
-    bd.svd_recovered += b.svd_recovered;
-  }
-  fold_rsvd_breakdowns(bd, report);
-  scan_build_finite(h, opt.on_breakdown, report);
-  return std::move(h);
-}
-
 }  // namespace
 
 template <typename T>
@@ -627,9 +518,6 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
   if (opt.compressor == Compressor::kRsvdBatched) {
     if (sched_mode() == SchedMode::kGraph)
       return build_from_generator_rsvd_graph<T>(g, tree, opt, std::move(h),
-                                                report);
-    if (backend().asynchronous())
-      return build_from_generator_rsvd_async<T>(g, tree, opt, std::move(h),
                                                 report);
     return build_from_generator_rsvd<T>(g, tree, opt, std::move(h), report);
   }

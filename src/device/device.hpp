@@ -16,9 +16,8 @@
 ///
 ///  - device-memory accounting (live/peak bytes against a capacity), so
 ///    benches can report the paper's `mem` column and check the 32 GB fit;
-///  - host-to-device / device-to-host transfer byte counters plus a
-///    bandwidth model, so copy overheads are reported the way the paper
-///    discusses them;
+///  - host-to-device / device-to-host transfer byte counters, so copy
+///    volumes are reported the way the paper discusses them;
 ///  - a kernel-launch counter with optional injected per-launch latency, so
 ///    the launch-amortization claim of batching (Sec. III-C) is measurable.
 ///
@@ -50,20 +49,6 @@ class DeviceContext {
   void record_d2h(std::size_t n) { d2h_.fetch_add(n); }
   std::size_t h2d_bytes() const { return h2d_.load(); }
   std::size_t d2h_bytes() const { return d2h_.load(); }
-  /// Modeled seconds to move n bytes over the link. A non-positive
-  /// bandwidth (set_bandwidth_gbs(0) is the documented way to disable the
-  /// transfer model) means "free", not a division by zero.
-  double modeled_transfer_seconds(std::size_t n) const {
-    const double gbs = bandwidth_gbs();
-    if (gbs <= 0.0) return 0.0;
-    return static_cast<double>(n) / (gbs * 1e9);
-  }
-  void set_bandwidth_gbs(double gbs) {
-    bandwidth_gbs_.store(gbs, std::memory_order_relaxed);
-  }
-  double bandwidth_gbs() const {
-    return bandwidth_gbs_.load(std::memory_order_relaxed);
-  }
 
   // --- kernel launches ----------------------------------------------------
   /// Record one batched-kernel launch; optionally injects the configured
@@ -91,7 +76,6 @@ class DeviceContext {
   // double read under the capacity check would be a real (if benign-looking)
   // race. Relaxed ordering — each knob is an independent scalar.
   std::atomic<std::size_t> capacity_{32ull << 30};  // V100: 32 GB
-  std::atomic<double> bandwidth_gbs_{12.0};  // paper: ~12 GB/s achieved
   std::atomic<double> launch_latency_us_{0.0};
 };
 

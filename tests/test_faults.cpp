@@ -13,7 +13,6 @@
 #include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
 #include "core/factorization.hpp"
-#include "device/backend.hpp"
 #include "device/device.hpp"
 #include "precond/gmres.hpp"
 #include "test_util.hpp"
@@ -66,7 +65,6 @@ TEST(FaultSpec, SiteNames) {
   EXPECT_STREQ(fault::site_name(Site::kSvdSweeps), "svd.sweeps");
   EXPECT_STREQ(fault::site_name(Site::kAcaStall), "aca.stall");
   EXPECT_STREQ(fault::site_name(Site::kWorkspaceAlloc), "workspace.alloc");
-  EXPECT_STREQ(fault::site_name(Site::kDeviceAlloc), "device.alloc");
 }
 
 TEST(FaultSpec, UnarmedSitesNeverFire) {
@@ -103,6 +101,55 @@ TEST(FaultSpec, CommaSeparatedListArmsSeveralSites) {
   EXPECT_TRUE(fault::should_fire(Site::kSvdSweeps));
   EXPECT_FALSE(fault::should_fire(Site::kAcaStall));
   EXPECT_EQ(fault_stats::injected(), 2u);
+}
+
+TEST(FaultSpec, UnknownSiteThrowsNamingTokenAndValidSites) {
+  // A typo or a retired site must not arm nothing silently: every check
+  // validates the whole spec, whichever site it asks about.
+  struct Case {
+    const char* spec;
+    const char* bad_token;
+  };
+  for (const Case& c : {Case{"aca.stal", "aca.stal"},
+                        Case{"device.alloc", "device.alloc"},
+                        Case{"getrf.pivot,aca.stal:2", "aca.stal:2"},
+                        Case{"aca.stall x", "aca.stall x"}}) {
+    SCOPED_TRACE(c.spec);
+    ScopedEnv env("HODLRX_FAULT", c.spec);
+    fault_stats::reset();
+    try {
+      fault::should_fire(Site::kGetrfPivot);
+      ADD_FAILURE() << "should_fire accepted an unknown site";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + c.bad_token + "'"),
+                std::string::npos)
+          << what;
+      for (int s = 0; s < static_cast<int>(Site::kNumSites); ++s)
+        EXPECT_NE(what.find(fault::site_name(static_cast<Site>(s))),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_THROW(fault::check_spec(), Error);
+    EXPECT_EQ(fault_stats::injected(), 0u);
+  }
+  // Spaces around names and empty tokens stay accepted.
+  ScopedEnv env("HODLRX_FAULT", " aca.stall : 2 ,, getrf.pivot ");
+  fault_stats::reset();
+  EXPECT_NO_THROW(fault::check_spec());
+  EXPECT_FALSE(fault::should_fire(Site::kAcaStall));
+  EXPECT_TRUE(fault::should_fire(Site::kAcaStall));
+  EXPECT_TRUE(fault::should_fire(Site::kGetrfPivot));
+}
+
+TEST(FaultSpec, UnknownSiteFailsABuild) {
+  ScopedEnv env("HODLRX_FAULT", "aca.stal");
+  const index_t n = 128;
+  Matrix<double> a = test::smooth_test_matrix<double>(n, 601);
+  ClusterTree tree = ClusterTree::uniform(n, 32);
+  BuildOptions bopt;
+  bopt.tol = 1e-10;
+  EXPECT_THROW(HodlrMatrix<double>::build_from_dense(a, tree, bopt), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,73 +193,6 @@ TEST(WorkspaceFault, InterleaveSlotGrowthIsFaultCovered) {
   double* q = interleave_workspace<double>(count);
   EXPECT_EQ(p, q);
   EXPECT_EQ(fault_stats::injected(Site::kWorkspaceAlloc), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// device.alloc: Backend::allocate failure -> drain all streams, retry once.
-// ---------------------------------------------------------------------------
-
-TEST(DeviceAllocFault, BufferConstructionRecoversOnSyncBackend) {
-  ScopedEnv backend_env("HODLRX_BACKEND", "host");
-  ScopedEnv env("HODLRX_FAULT", "device.alloc");
-  fault_stats::reset();
-  DeviceContext& dev = DeviceContext::global();
-  const std::size_t live0 = dev.live_bytes();
-  {
-    DeviceBuffer buf(1 << 16);
-    ASSERT_NE(buf.data(), nullptr);
-    // The retried buffer is really usable and correctly accounted.
-    auto* p = buf.as<unsigned char>();
-    p[0] = 1;
-    p[(1 << 16) - 1] = 2;
-    EXPECT_EQ(dev.live_bytes(), live0 + (1 << 16));
-  }
-  EXPECT_EQ(dev.live_bytes(), live0);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::recovered(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::injected(), fault_stats::recovered());
-  // Steady state: the next allocation goes through without a second firing.
-  DeviceBuffer again(4096);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 1u);
-}
-
-TEST(DeviceAllocFault, RecoveryDrainsQueuedAsyncWorkBeforeRetry) {
-  // The rung mirrors what a real device must do: an allocation failure
-  // means queued frees have not landed yet, so drain every stream and
-  // retry synchronously. Queued async work must be COMPLETE by the time
-  // the constructor returns.
-  ScopedEnv backend_env("HODLRX_BACKEND", "host-async");
-  ScopedEnv env("HODLRX_FAULT", "device.alloc");
-  fault_stats::reset();
-  std::atomic<int> drained_work{0};
-  Stream s;
-  for (int i = 0; i < 5; ++i)
-    s.launch("queued", [&drained_work] { drained_work.fetch_add(1); });
-  EXPECT_EQ(drained_work.load(), 0);  // still queued, not executed
-  DeviceBuffer buf(1 << 16);
-  ASSERT_NE(buf.data(), nullptr);
-  // The failed first attempt forced the synchronize: the queue is empty.
-  EXPECT_EQ(drained_work.load(), 5);
-  EXPECT_EQ(s.pending(), 0u);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::recovered(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::injected(), fault_stats::recovered());
-}
-
-TEST(DeviceAllocFault, LaterOccurrenceFiresWhereArmed) {
-  // device.alloc:3 — the third Backend::allocate in the process fires, the
-  // first two pass untouched. Pins that the site threads through the
-  // shared occurrence-counting spec machinery.
-  ScopedEnv backend_env("HODLRX_BACKEND", "host");
-  ScopedEnv env("HODLRX_FAULT", "device.alloc:3");
-  fault_stats::reset();
-  DeviceBuffer a(1024);
-  DeviceBuffer b(1024);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 0u);
-  DeviceBuffer c(1024);  // occurrence 3: fires, recovery heals it
-  ASSERT_NE(c.data(), nullptr);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::recovered(Site::kDeviceAlloc), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,6 +348,30 @@ TEST_P(GetrfPivotFault, ReportPolicyRecordsAndRethrows) {
                Error);
   EXPECT_GE(rep.lu_breakdowns, 1);
   EXPECT_EQ(rep.lu_pivot_retries, 0);
+}
+
+TEST_P(GetrfPivotFault, UnknownSiteIsNotHealedAsABreakdown) {
+  // The pivot ladder catches the Error a zero pivot raises; a bad spec
+  // thrown from the same check must escape it instead of being "recovered".
+  const index_t n = 128;
+  Matrix<double> a = test::smooth_test_matrix<double>(n, 619);
+  ClusterTree tree = ClusterTree::uniform(n, 32);
+  HodlrMatrix<double> h;
+  {
+    ScopedEnv clean("HODLRX_FAULT", nullptr);
+    h = HodlrMatrix<double>::build_from_dense(a, tree, {});
+  }
+  ScopedEnv env("HODLRX_FAULT", "getrf.pivto");
+  fault_stats::reset();
+  FactorOptions fopt;
+  fopt.mode = GetParam();
+  fopt.kform = KForm::kIdentityDiagonal;
+  FactorReport rep;
+  EXPECT_THROW(HodlrFactorization<double>::factor(PackedHodlr<double>::pack(h),
+                                                  fopt, &rep),
+               Error);
+  EXPECT_EQ(rep.lu_pivot_retries, 0);
+  EXPECT_EQ(fault_stats::recovered(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, GetrfPivotFault,
