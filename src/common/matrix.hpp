@@ -30,6 +30,11 @@ using NoDeduce = std::type_identity_t<T>;
 template <typename T>
 struct ConstMatrixView;
 
+/// Aligned scalar storage whose `resize(n)` leaves new elements unwritten
+/// (DefaultInitAllocator); `assign(n, T{})` still zero-fills.
+template <typename T>
+using DefaultInitVector = std::vector<T, DefaultInitAllocator<T>>;
+
 /// Non-owning mutable view of a column-major block.
 template <typename T>
 struct MatrixView {
@@ -103,6 +108,17 @@ class Matrix {
     data_.assign(static_cast<std::size_t>(rows) * cols, T{});
   }
 
+  /// rows x cols matrix whose entries are left unwritten, for storage the
+  /// caller fills in full before it reads any entry.
+  static Matrix uninitialized(index_t rows, index_t cols) {
+    HODLRX_REQUIRE(rows >= 0 && cols >= 0, "negative dimension");
+    Matrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.data_.resize(static_cast<std::size_t>(rows) * cols);
+    return m;
+  }
+
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
   index_t size() const { return rows_ * cols_; }
@@ -155,7 +171,7 @@ class Matrix {
  private:
   index_t rows_ = 0;
   index_t cols_ = 0;
-  std::vector<T, AlignedAllocator<T>> data_;
+  DefaultInitVector<T> data_;
 };
 
 /// Copy `src` into `dst` (shapes must match; either may be strided).

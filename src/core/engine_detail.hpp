@@ -1,5 +1,8 @@
 #pragma once
 
+#include <algorithm>
+
+#include "common/parallel.hpp"
 #include "core/factorization.hpp"
 
 /// \file engine_detail.hpp
@@ -13,8 +16,14 @@ struct FactorEngine {
   using F = HodlrFactorization<T>;
   using LevelK = typename F::LevelK;
 
-  /// Copy the packed data "onto the device" and initialize metadata.
+  /// Stage the packed data "onto the device" and initialize metadata. Ybig
+  /// (overwritten by the sweep) and the leaf blocks (LU-factored in place)
+  /// are the only copies: they are allocated unwritten and filled from
+  /// ubig/dbig in one parallel pass. V is read-only, so the factorization
+  /// shares the packed vbig instead of copying it.
   static F stage(const PackedHodlr<T>& p, const FactorOptions& opt) {
+    HODLRX_REQUIRE(p.vbig != nullptr,
+                   "factor: PackedHodlr has no vbig (build it with pack)");
     F f;
     f.tree_ = p.tree;
     f.opt_ = opt;
@@ -23,11 +32,26 @@ struct FactorEngine {
     f.total_cols_ = p.total_cols;
     f.level_uniform_ = p.level_uniform;
     f.leaves_uniform_ = p.leaves_uniform;
-    f.ybig_ = to_matrix(ConstMatrixView<T>(p.ubig));  // Ybig overwrites Ubig
-    f.vbig_ = to_matrix(ConstMatrixView<T>(p.vbig));
-    f.dfac_ = p.dbig;
+    f.ybig_ = Matrix<T>::uninitialized(p.ubig.rows(), p.ubig.cols());
+    f.vbig_ = p.vbig;
+    f.dfac_.resize(p.dbig.size());
     f.d_offset_ = p.d_offset;
     f.d_ipiv_.assign(p.n, 0);
+    // ubig and dbig are contiguous (ld == rows): copy them as one flat
+    // range of ny + nd elements split into equal chunks over the pool.
+    const index_t ny = p.ubig.size();
+    const index_t nd = static_cast<index_t>(p.dbig.size());
+    parallel_chunks(ny + nd, [&](index_t i0, index_t cnt) {
+      const index_t i1 = i0 + cnt;
+      if (i0 < ny)
+        std::copy(p.ubig.data() + i0, p.ubig.data() + std::min(i1, ny),
+                  f.ybig_.data() + i0);
+      if (i1 > ny) {
+        const index_t d0 = std::max(i0, ny) - ny;
+        std::copy(p.dbig.data() + d0, p.dbig.data() + (i1 - ny),
+                  f.dfac_.data() + d0);
+      }
+    });
 
     // Pre-size the K-level containers (zeroed; engines fill them).
     const index_t depth = p.tree.depth();

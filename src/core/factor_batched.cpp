@@ -35,10 +35,10 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
   const BatchPolicy policy = f.opt_.policy;
   const bool pivoted = f.opt_.kform == KForm::kPivoted;
   MatrixView<T> ybig = f.ybig_;
-  ConstMatrixView<T> vbig = f.vbig_;
-  const T* vdata = f.vbig_.data();
+  ConstMatrixView<T> vbig = *f.vbig_;
+  const T* vdata = f.vbig_->data();
   T* ydata = f.ybig_.data();
-  const index_t ldv = f.vbig_.rows();
+  const index_t ldv = f.vbig_->rows();
   const index_t ldy = f.ybig_.rows();
 
   // --- Algorithm 3, lines 2-3: batched leaf LU + leaf panel solves --------
@@ -67,14 +67,16 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
 
   // One W workspace reused by every level (sized for the largest), instead
   // of a fresh heap allocation per level: the batched engine's level sweep
-  // is the hot path, and the per-level W can reach hundreds of MB.
+  // is the hot path, and the per-level W can reach hundreds of MB. Left
+  // unwritten: each level's beta = 0 product (line 6) writes its W in full
+  // before the K solve reads it.
   index_t wmax = 0;
   for (index_t l = L - 1; l >= 0; --l) {
     if (f.level_rank_[l + 1] == 0) continue;
     wmax = std::max(wmax, 2 * f.kfac_[l].count * f.level_rank_[l + 1] *
                               f.col_offset_[l + 1]);
   }
-  Matrix<T> wbuf(wmax, 1);
+  Matrix<T> wbuf = Matrix<T>::uninitialized(wmax, 1);
 
   // --- Algorithm 3, lines 4-11: level sweep -------------------------------
   for (index_t l = L - 1; l >= 0; --l) {
@@ -289,10 +291,10 @@ void FactorEngine<T>::run_factor_batched_graph(F& f, FactorReport* report) {
   const BatchPolicy policy = f.opt_.policy;
   const bool pivoted = f.opt_.kform == KForm::kPivoted;
   MatrixView<T> ybig = f.ybig_;
-  ConstMatrixView<T> vbig = f.vbig_;
-  const T* vdata = f.vbig_.data();
+  ConstMatrixView<T> vbig = *f.vbig_;
+  const T* vdata = f.vbig_->data();
   T* ydata = f.ybig_.data();
-  const index_t ldv = f.vbig_.rows();
+  const index_t ldv = f.vbig_->rows();
   const index_t ldy = f.ybig_.rows();
 
   TaskGraph gph;
@@ -357,7 +359,8 @@ void FactorEngine<T>::run_factor_batched_graph(F& f, FactorReport* report) {
   }
 
   // Per-level W slices of one buffer (summed, not maxed: two levels' W
-  // stages can be live simultaneously).
+  // stages can be live simultaneously), left unwritten: each W chunk's
+  // beta = 0 product writes its rows in full before Ksolve reads them.
   std::vector<index_t> woff(static_cast<std::size_t>(L), 0);
   index_t wtot = 0;
   for (index_t l = L - 1; l >= 0; --l) {
@@ -365,7 +368,7 @@ void FactorEngine<T>::run_factor_batched_graph(F& f, FactorReport* report) {
     woff[static_cast<std::size_t>(l)] = wtot;
     wtot += 2 * f.kfac_[l].count * f.level_rank_[l + 1] * f.col_offset_[l + 1];
   }
-  Matrix<T> wbuf(wtot, 1);
+  Matrix<T> wbuf = Matrix<T>::uninitialized(wtot, 1);
 
   // T/KLU/W/Ksolve/prefix chunks of one level share chunk boundaries (chunk
   // ch covers the same parents in every stage), so intra-level edges are
@@ -703,10 +706,10 @@ void FactorEngine<T>::run_solve_batched(const F& f, MatrixView<T> x) {
   const BatchPolicy policy = f.opt_.policy;
   const bool pivoted = f.opt_.kform == KForm::kPivoted;
   ConstMatrixView<T> ybig = f.ybig_;
-  ConstMatrixView<T> vbig = f.vbig_;
-  const T* vdata = f.vbig_.data();
+  ConstMatrixView<T> vbig = *f.vbig_;
+  const T* vdata = f.vbig_->data();
   const T* ydata = f.ybig_.data();
-  const index_t ldv = f.vbig_.rows();
+  const index_t ldv = f.vbig_->rows();
   const index_t ldy = f.ybig_.rows();
   const index_t nrhs = x.cols;
 

@@ -17,8 +17,8 @@ namespace hodlrx {
 namespace {
 
 /// View a flat coefficient vector as one tall column for the finite scans.
-template <typename T>
-ConstMatrixView<T> flat_view(const std::vector<T>& v) {
+template <typename T, typename A>
+ConstMatrixView<T> flat_view(const std::vector<T, A>& v) {
   const index_t sz = static_cast<index_t>(v.size());
   return {v.data(), sz, 1, std::max<index_t>(sz, 1)};
 }
@@ -52,7 +52,7 @@ HodlrFactorization<T> HodlrFactorization<T>::factor(
       }
   if (check_finite_enabled()) {
     index_t bad = count_nonfinite(ConstMatrixView<T>(f.ybig_)) +
-                  count_nonfinite(ConstMatrixView<T>(f.vbig_)) +
+                  count_nonfinite(ConstMatrixView<T>(*f.vbig_)) +
                   count_nonfinite(flat_view(f.dfac_));
     for (const LevelK& k : f.kfac_) bad += count_nonfinite(flat_view(k.data));
     if (bad > 0) {
@@ -177,7 +177,7 @@ SolveReport HodlrFactorization<T>::solve_checked(const HodlrMatrix<T>& a,
 
 template <typename T>
 std::size_t HodlrFactorization<T>::storage_bytes() const {
-  std::size_t bytes = ybig_.bytes() + vbig_.bytes() +
+  std::size_t bytes = ybig_.bytes() + vbig_->bytes() +
                       dfac_.size() * sizeof(T) +
                       d_ipiv_.size() * sizeof(index_t);
   for (const LevelK& k : kfac_)

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+
 #include "core/packed.hpp"
 #include "device/device.hpp"
 
@@ -12,8 +14,9 @@
 /// produce bit-comparable factors; they differ only in how the per-node
 /// BLAS/LAPACK work is issued (plain single-thread loops vs batched device
 /// kernels). The factorization owns device copies of Ybig (overwriting
-/// Ubig), Vbig, the leaf LU factors, and the per-level K-matrix LU factors,
-/// so the source PackedHodlr stays valid for residual checks.
+/// Ubig) and the leaf blocks (LU-factored in place), plus the per-level
+/// K-matrix LU factors; it shares the packed, immutable Vbig by pointer.
+/// The source PackedHodlr is left unchanged and may be destroyed first.
 
 namespace hodlrx {
 
@@ -114,9 +117,11 @@ class HodlrFactorization {
   std::vector<char> level_uniform_;
   bool leaves_uniform_ = false;
 
-  Matrix<T> ybig_;               ///< factored panels (was Ubig)
-  Matrix<T> vbig_;               ///< device copy of Vbig (needed by solves)
-  std::vector<T> dfac_;          ///< leaf blocks, LU-factored in place
+  Matrix<T> ybig_;               ///< factored panels (staged copy of Ubig)
+  /// The packed Vbig (read by the sweep and the solves), shared with the
+  /// PackedHodlr; counted in bytes() like the device copy it models.
+  std::shared_ptr<const Matrix<T>> vbig_;
+  DefaultInitVector<T> dfac_;    ///< leaf blocks, LU-factored in place
   std::vector<index_t> d_offset_;
   std::vector<index_t> d_ipiv_;  ///< leaf pivots, indexed by global row
   std::vector<LevelK> kfac_;     ///< kfac_[l] for sweep step l = 0..L-1

@@ -1,8 +1,11 @@
 #include "core/packed.hpp"
 
+#include <algorithm>
 #include <complex>
+#include <memory>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace hodlrx {
 
@@ -36,34 +39,44 @@ PackedHodlr<T> PackedHodlr<T>::pack(const HodlrMatrix<T>& h) {
   }
   p.leaves_uniform = p.level_uniform[depth] != 0;
 
-  // Concatenate the bases; zero padding comes from zero-initialized storage.
-  // U_nu has rank(nu) columns; V_nu has rank(sibling(nu)) columns; both fit
-  // in the level panel because level_rank is the max over the level.
-  p.ubig = Matrix<T>(p.n, p.total_cols);
-  p.vbig = Matrix<T>(p.n, p.total_cols);
-  for (index_t nu = 1; nu < p.tree.num_nodes(); ++nu) {
-    const index_t level = ClusterTree::level_of(nu);
-    const ClusterNode& c = p.tree.node(nu);
-    const Matrix<T>& u = h.u(nu);
-    const Matrix<T>& v = h.v(nu);
-    if (u.cols() > 0)
-      copy(u.view(), p.ubig.block(c.begin, p.col_offset[level], c.size(),
-                                  u.cols()));
-    if (v.cols() > 0)
-      copy(v.view(), p.vbig.block(c.begin, p.col_offset[level], c.size(),
-                                  v.cols()));
-  }
-
-  // Concatenate the leaf diagonal blocks.
   const index_t leaves = p.tree.num_leaves();
   p.d_offset.assign(leaves + 1, 0);
   for (index_t j = 0; j < leaves; ++j) {
     const index_t sz = p.tree.node(p.tree.leaf(j)).size();
     p.d_offset[j + 1] = p.d_offset[j] + sz * sz;
   }
-  p.dbig.assign(p.d_offset[leaves], T{});
-  for (index_t j = 0; j < leaves; ++j)
-    copy(ConstMatrixView<T>(h.leaf_block(j)), p.leaf_view(p.dbig, j));
+
+  // One launch writes every coefficient exactly once, so nothing is
+  // zero-filled first. The nodes of a level partition the rows and the
+  // level panels partition the columns: node nu's rows of its level panel
+  // take U_nu (resp. V_nu, which has rank(sibling(nu)) columns) and then
+  // zero padding up to level_rank. The leaf blocks tile dbig.
+  Matrix<T> ubig = Matrix<T>::uninitialized(p.n, p.total_cols);
+  Matrix<T> vbig = Matrix<T>::uninitialized(p.n, p.total_cols);
+  p.dbig.resize(static_cast<std::size_t>(p.d_offset[leaves]));
+  const index_t bases = p.tree.num_nodes() - 1;  // the root has none
+  parallel_for(bases + leaves, [&](index_t i) {
+    if (i >= bases) {
+      const index_t j = i - bases;
+      copy(ConstMatrixView<T>(h.leaf_block(j)), p.leaf_view(p.dbig, j));
+      return;
+    }
+    const index_t nu = i + 1;
+    const index_t level = ClusterTree::level_of(nu);
+    const ClusterNode& c = p.tree.node(nu);
+    const auto place = [&](const Matrix<T>& basis, Matrix<T>& big) {
+      MatrixView<T> blk = big.block(c.begin, p.col_offset[level], c.size(),
+                                    p.level_rank[level]);
+      if (basis.cols() > 0)
+        copy(basis.view(), blk.cols_range(0, basis.cols()));
+      for (index_t j = basis.cols(); j < blk.cols; ++j)
+        std::fill_n(blk.data + j * blk.ld, blk.rows, T{});
+    };
+    place(h.u(nu), ubig);
+    place(h.v(nu), vbig);
+  });
+  p.ubig = std::move(ubig);
+  p.vbig = std::make_shared<const Matrix<T>>(std::move(vbig));
   return p;
 }
 

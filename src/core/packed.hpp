@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+
 #include "core/hodlr.hpp"
 
 /// \file packed.hpp
@@ -9,6 +11,11 @@
 /// diagonal blocks concatenated into `dbig`. Nodes whose actual rank is
 /// below the level maximum are zero-padded to the right, which is what
 /// makes the strided-batched kernels applicable (Sec. III-C).
+///
+/// `vbig` is immutable once packed and shared by pointer: a factorization
+/// reads it in place (no engine writes V) and keeps it alive, so it may
+/// outlive its PackedHodlr. `ubig` and `dbig` are what a factorization
+/// copies and overwrites (Ybig, leaf LU factors).
 
 namespace hodlrx {
 
@@ -27,9 +34,11 @@ struct PackedHodlr {
   std::vector<index_t> col_offset;
   index_t total_cols = 0;  ///< R = col_offset[L+1]
 
-  Matrix<T> ubig, vbig;  ///< N x R, zero-padded per node
+  Matrix<T> ubig;  ///< N x R, zero-padded per node
+  /// N x R like ubig; shared with every factorization of this operator.
+  std::shared_ptr<const Matrix<T>> vbig;
 
-  std::vector<T> dbig;          ///< leaf blocks, column-major, concatenated
+  DefaultInitVector<T> dbig;  ///< leaf blocks, column-major, concatenated
   std::vector<index_t> d_offset;  ///< per-leaf offset into dbig (size leaves+1)
 
   std::vector<index_t> node_rank;  ///< exact per-node ranks (reporting)
@@ -49,17 +58,18 @@ struct PackedHodlr {
     return m.block(0, col_offset[level], n, level_rank[level]);
   }
   /// View of the j-th leaf block inside `storage` (dbig-shaped).
-  MatrixView<T> leaf_view(std::vector<T>& storage, index_t j) const {
+  MatrixView<T> leaf_view(DefaultInitVector<T>& storage, index_t j) const {
     const index_t sz = tree.node(tree.leaf(j)).size();
     return {storage.data() + d_offset[j], sz, sz, sz};
   }
-  ConstMatrixView<T> leaf_view(const std::vector<T>& storage, index_t j) const {
+  ConstMatrixView<T> leaf_view(const DefaultInitVector<T>& storage,
+                               index_t j) const {
     const index_t sz = tree.node(tree.leaf(j)).size();
     return {storage.data() + d_offset[j], sz, sz, sz};
   }
 
   std::size_t bytes() const {
-    return ubig.bytes() + vbig.bytes() + dbig.size() * sizeof(T);
+    return ubig.bytes() + (vbig ? vbig->bytes() : 0) + dbig.size() * sizeof(T);
   }
 };
 

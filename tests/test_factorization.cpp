@@ -218,6 +218,53 @@ TEST(Factorization, MemoryBytesTracked) {
   EXPECT_EQ(DeviceContext::global().live_bytes(), 0u);
 }
 
+/// A factorization shares the packed V panels, so it must stay valid after
+/// its PackedHodlr is gone (factoring a pack() temporary). Its answers must
+/// match, bit for bit, those of a factorization whose packed form is alive.
+TEST(Factorization, OutlivesItsPackedForm) {
+  using T = double;
+  const index_t n = 300, nrhs = 3;
+  Matrix<T> a = test::smooth_test_matrix<T>(n, 97);
+  ClusterTree tree = ClusterTree::uniform(n, 25);
+  BuildOptions bopt;
+  bopt.tol = 1e-11;
+  HodlrMatrix<T> h = HodlrMatrix<T>::build_from_dense(a, tree, bopt);
+  const PackedHodlr<T> p = PackedHodlr<T>::pack(h);
+  const Matrix<T> b = random_matrix<T>(n, nrhs, 101);
+  for (ExecMode mode : {ExecMode::kSerial, ExecMode::kBatched})
+    for (KForm kform : {KForm::kPivoted, KForm::kIdentityDiagonal}) {
+      SCOPED_TRACE(case_name({{n, 25, mode, kform}, 0}));
+      FactorOptions fopt;
+      fopt.mode = mode;
+      fopt.kform = kform;
+      const HodlrFactorization<T> alive =
+          HodlrFactorization<T>::factor(p, fopt);
+      const HodlrFactorization<T> orphan =
+          HodlrFactorization<T>::factor(PackedHodlr<T>::pack(h), fopt);
+      // Reuse the freed packed storage, so reading it through a dangling
+      // pointer would see this junk.
+      Matrix<T> junk = Matrix<T>::uninitialized(n, p.total_cols);
+      std::fill(junk.data(), junk.data() + junk.size(), T{7});
+
+      Matrix<T> xa = to_matrix(b.view()), xo = to_matrix(b.view());
+      alive.solve_inplace(xa.view());
+      orphan.solve_inplace(xo.view());
+      EXPECT_TRUE(test::same_bits(xa, xo));
+
+      const auto la = alive.logdet(), lo = orphan.logdet();
+      EXPECT_TRUE(test::same_bits(la.log_abs, lo.log_abs));
+      EXPECT_TRUE(test::same_bits(la.phase, lo.phase));
+
+      xa = to_matrix(b.view());
+      xo = to_matrix(b.view());
+      const SolveReport ra = alive.solve_checked(h, xa.view(), 1e-8);
+      const SolveReport ro = orphan.solve_checked(h, xo.view(), 1e-8);
+      EXPECT_TRUE(ra.residual_ok);
+      EXPECT_TRUE(test::same_bits(ra.relres, ro.relres));
+      EXPECT_TRUE(test::same_bits(xa, xo));
+    }
+}
+
 /// Regression for the ld-aware uniform fast path of run_solve_batched: a
 /// submatrix RHS view (x.ld > x.rows) must produce the same solution as a
 /// contiguous RHS AND stay on the uniform strided launches. Before the fix

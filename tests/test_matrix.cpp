@@ -94,6 +94,48 @@ TEST(Matrix, ResizeZeroes) {
   EXPECT_EQ(a.rows(), 4);
 }
 
+/// Matrix storage default-initializes on resize (Matrix::uninitialized), so
+/// the zeroing constructors must fill explicitly: each runs on memory that
+/// a dropped, junk-filled matrix of the same size just handed back.
+template <typename T>
+void expect_zeroing_on_dirty_memory() {
+  const index_t rows = 97, cols = 13;
+  const auto all_zero = [](const Matrix<T>& m) {
+    for (index_t j = 0; j < m.cols(); ++j)
+      for (index_t i = 0; i < m.rows(); ++i)
+        if (!test::same_bits(m(i, j), T{})) return false;
+    return true;
+  };
+  const auto dirty = [&] {
+    Matrix<T> m = Matrix<T>::uninitialized(rows, cols);
+    std::fill(m.data(), m.data() + m.size(), T{3});
+    return m;
+  };
+  { Matrix<T> junk = dirty(); }
+  EXPECT_TRUE(all_zero(Matrix<T>(rows, cols)));
+  { Matrix<T> junk = dirty(); }
+  Matrix<T> r;
+  r.resize(rows, cols);
+  EXPECT_TRUE(all_zero(r));
+  Matrix<T> z = dirty();
+  z.set_zero();
+  EXPECT_TRUE(all_zero(z));
+}
+
+TEST(Matrix, ZeroingConstructorsFillDirtyMemory) {
+  expect_zeroing_on_dirty_memory<double>();
+  expect_zeroing_on_dirty_memory<std::complex<float>>();
+}
+
+TEST(Matrix, UninitializedHasShape) {
+  Matrix<double> a = Matrix<double>::uninitialized(5, 3);
+  EXPECT_EQ(a.rows(), 5);
+  EXPECT_EQ(a.cols(), 3);
+  EXPECT_EQ(a.bytes(), 15 * sizeof(double));
+  EXPECT_TRUE(Matrix<double>::uninitialized(0, 4).empty());
+  EXPECT_THROW(Matrix<double>::uninitialized(2, -1), Error);
+}
+
 TEST(Matrix, EmptyMatrix) {
   Matrix<double> a(0, 5);
   EXPECT_TRUE(a.empty());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/packed.hpp"
 #include "test_util.hpp"
 
@@ -84,7 +86,7 @@ TEST(Packed, ReconstructionFromPanels) {
     // Padded blocks multiply to the same product as the exact ones.
     gemm<C>(Op::N, Op::C, C{1},
             p.ubig.view().block(rc.begin, p.col_offset[level], rc.size(), r),
-            p.vbig.view().block(cc.begin, p.col_offset[level], cc.size(), r),
+            p.vbig->view().block(cc.begin, p.col_offset[level], cc.size(), r),
             C{0}, rec.view().block(rc.begin, cc.begin, rc.size(), cc.size()));
   }
   EXPECT_LE(rel_error(rec, h.to_dense()), 1e-14);
@@ -125,6 +127,56 @@ TEST(Packed, DbigOffsets) {
   }
   EXPECT_EQ(p.d_offset[leaves], acc);
   EXPECT_EQ(static_cast<index_t>(p.dbig.size()), acc);
+}
+
+/// The panels are allocated unwritten and filled once, so pack must write
+/// every padding entry itself. Pack an operator with ragged per-node ranks
+/// on a non-uniform tree, drop it, then pack a lower-rank operator of the
+/// same shape into the memory the allocator hands back dirty.
+TEST(Packed, PaddingIsZeroOnDirtyMemory) {
+  const index_t n = 1000;
+  Matrix<double> a = test::smooth_test_matrix<double>(n, 19);
+  ClusterTree tree = ClusterTree::uniform(n, 37);
+  const auto build = [&](double tol) {
+    BuildOptions opt;
+    opt.tol = tol;
+    return HodlrMatrix<double>::build_from_dense(a, tree, opt);
+  };
+  const HodlrMatrix<double> fine = build(1e-12);
+  const HodlrMatrix<double> coarse = build(1e-5);
+  ASSERT_LT(coarse.max_rank(), fine.max_rank());
+  {
+    const PackedHodlr<double> dropped = PackedHodlr<double>::pack(fine);
+    ASSERT_GT(dropped.total_cols, 0);
+  }
+  const PackedHodlr<double> p = PackedHodlr<double>::pack(coarse);
+
+  index_t padded_nodes = 0, nonzero_padding = 0;
+  const auto count_nonzero = [&](const Matrix<double>& big, index_t nu,
+                                 index_t used) {
+    const index_t level = ClusterTree::level_of(nu);
+    const ClusterNode& c = tree.node(nu);
+    for (index_t j = used; j < p.level_rank[level]; ++j)
+      for (index_t i = 0; i < c.size(); ++i)
+        if (!test::same_bits(big(c.begin + i, p.col_offset[level] + j), 0.0))
+          ++nonzero_padding;
+  };
+  for (index_t nu = 1; nu < tree.num_nodes(); ++nu) {
+    if (coarse.u(nu).cols() < p.level_rank[ClusterTree::level_of(nu)])
+      ++padded_nodes;
+    count_nonzero(p.ubig, nu, coarse.u(nu).cols());
+    count_nonzero(*p.vbig, nu, coarse.v(nu).cols());
+  }
+  EXPECT_GT(padded_nodes, 0) << "the ranks must be ragged to test padding";
+  EXPECT_EQ(nonzero_padding, 0);
+
+  const PackedHodlr<double> q = PackedHodlr<double>::pack(coarse);
+  EXPECT_TRUE(test::same_bits(p.ubig, q.ubig));
+  EXPECT_TRUE(test::same_bits(*p.vbig, *q.vbig));
+  ASSERT_EQ(p.dbig.size(), q.dbig.size());
+  EXPECT_EQ(std::memcmp(p.dbig.data(), q.dbig.data(),
+                        p.dbig.size() * sizeof(double)),
+            0);
 }
 
 }  // namespace
