@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "bie/laplace.hpp"
 #include "core/factorization.hpp"
 #include "test_util.hpp"
 
@@ -303,6 +308,71 @@ TEST(Factorization, StridedRhsViewStaysOnUniformFastPath) {
   EXPECT_LE(rel_error<T>(ConstMatrixView<T>(xs), xc.view()), 1e-13);
   EXPECT_EQ(strided_launches, contiguous_launches)
       << "a submatrix RHS view must stay on the uniform strided fast path";
+}
+
+/// Every answer the library gives must be a function of its input alone:
+/// five in-process runs of build -> pack -> factor -> solve -> logdet on a
+/// fixed Laplace BIE input must agree bit for bit, for both compressors,
+/// both engines and both K forms. ctest re-runs this test at 2 and 4 pool
+/// threads, so a reduction whose order depends on which worker finishes
+/// first cannot pass by luck of the host's default thread count.
+TEST(Factorization, RepeatRunsAreBitwiseIdentical) {
+  using T = double;
+  // A one-shot HODLRX_FAULT injection would heal only the run it hits, so
+  // the fault legs' spec is set aside here.
+  const test::ScopedEnv no_fault("HODLRX_FAULT", nullptr);
+
+  const index_t n = 2048;
+  const bie::ContourDiscretization d =
+      bie::discretize(bie::BlobContour{}, n);
+  const bie::LaplaceExteriorBIE<T> gen(d, {0.0, 0.0});
+  const ClusterTree tree = ClusterTree::uniform(n, 64);
+  Matrix<T> b(n, 1);
+  for (index_t i = 0; i < n; ++i) b(i, 0) = std::sin(0.1 * i);
+
+  struct Answer {
+    Matrix<T> x;
+    HodlrFactorization<T>::LogDet ld;
+  };
+  const auto run_all = [&] {
+    std::vector<Answer> out;
+    for (Compressor comp : {Compressor::kAca, Compressor::kRsvdBatched}) {
+      BuildOptions bopt;
+      bopt.tol = 1e-10;
+      bopt.compressor = comp;
+      if (comp == Compressor::kRsvdBatched) {
+        bopt.max_rank = 48;
+        bopt.rsvd_power_iterations = 2;
+      }
+      const PackedHodlr<T> p =
+          PackedHodlr<T>::pack(HodlrMatrix<T>::build(gen, tree, bopt));
+      for (ExecMode mode : {ExecMode::kSerial, ExecMode::kBatched})
+        for (KForm kform : {KForm::kPivoted, KForm::kIdentityDiagonal}) {
+          FactorOptions fopt;
+          fopt.mode = mode;
+          fopt.kform = kform;
+          const HodlrFactorization<T> f =
+              HodlrFactorization<T>::factor(p, fopt);
+          Answer a{to_matrix(b.view()), f.logdet()};
+          f.solve_inplace(a.x.view());
+          out.push_back(std::move(a));
+        }
+    }
+    return out;
+  };
+
+  const std::vector<Answer> first = run_all();
+  for (int run = 1; run < 5; ++run) {
+    const std::vector<Answer> again = run_all();
+    ASSERT_EQ(again.size(), first.size());
+    for (std::size_t k = 0; k < first.size(); ++k) {
+      SCOPED_TRACE("run " + std::to_string(run) + ", case " +
+                   std::to_string(k) + " (compressor x engine x K form)");
+      EXPECT_TRUE(test::same_bits(again[k].x, first[k].x));
+      EXPECT_TRUE(test::same_bits(again[k].ld.log_abs, first[k].ld.log_abs));
+      EXPECT_TRUE(test::same_bits(again[k].ld.phase, first[k].ld.phase));
+    }
+  }
 }
 
 TEST(Factorization, WrongRhsSizeThrows) {

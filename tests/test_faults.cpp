@@ -29,36 +29,7 @@ namespace hodlrx {
 namespace {
 
 using fault::Site;
-
-/// Set (or clear, with nullptr) an environment variable for one test scope
-/// and restore the previous value on exit. The CI fault legs export
-/// HODLRX_FAULT process-wide, so every test here pins its own value instead
-/// of assuming a clean environment.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr)
-      ::setenv(name, value, /*overwrite=*/1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_old_)
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      ::unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
+using test::ScopedEnv;
 
 TEST(FaultSpec, SiteNames) {
   EXPECT_STREQ(fault::site_name(Site::kGetrfPivot), "getrf.pivot");

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "common/blas.hpp"
 #include "common/matrix.hpp"
@@ -76,5 +78,35 @@ bool same_bits(const Matrix<T>& a, const Matrix<T>& b) {
          (a.size() == 0 ||
           std::memcmp(a.data(), b.data(), sizeof(T) * a.size()) == 0);
 }
+
+/// Set (or clear, with nullptr) an environment variable for one test scope
+/// and restore the previous value on exit. The fault legs export
+/// HODLRX_FAULT process-wide, so a test that needs a known value pins its
+/// own instead of assuming a clean environment.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    if (value != nullptr)
+      ::setenv(name, value, /*overwrite=*/1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (had_old_)
+      ::setenv(name_.c_str(), old_.c_str(), 1);
+    else
+      ::unsetenv(name_.c_str());
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::string old_;
+  bool had_old_ = false;
+};
 
 }  // namespace hodlrx::test
